@@ -175,38 +175,13 @@ impl SparseMatrix {
     }
 
     /// Matrix–vector product `y = A x`, accounting for uniform dangling
-    /// columns when the matrix has been stochastically normalized.
+    /// columns when the matrix has been stochastically normalized: the
+    /// one-column case of [`SparseMatrix::matvec_multi_into`]. Allocates;
+    /// loops use the multi kernel with `q = 1` and a reused buffer.
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y)?;
+        self.matvec_multi_into(x, 1, &mut y)?;
         Ok(y)
-    }
-
-    /// Matrix–vector product into a caller-provided buffer (hot path of the
-    /// T-Mark iteration; avoids a per-iteration allocation). Rows accumulate
-    /// through compensated summation, so the sparse product is bit-identical
-    /// to the dense one on the same operator. Large products partition the
-    /// output rows over free pool workers (nnz-balanced via the row
-    /// pointers); each output element keeps its serial summation order, so
-    /// the result is bitwise equal at any thread count.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "sparse matvec",
-                expected: (self.rows, self.cols),
-                found: (y.len(), x.len()),
-            });
-        }
-        let (share, correct) = self.dangling_share(x);
-        if self.use_parallel(1) {
-            let bounds = partition::balanced_bounds(&self.indptr);
-            partition::run_chunks(bounds.as_slice(), y, |start, chunk| {
-                self.row_gather(x, share, correct, start, chunk);
-            });
-        } else {
-            self.row_gather(x, share, correct, 0, y);
-        }
-        Ok(())
     }
 
     /// Whether a product over `columns` operand columns should partition
@@ -237,10 +212,10 @@ impl SparseMatrix {
     }
 
     /// Gathers `out[t] = row(start + t) · x` (Kahan-compensated, CSR entry
-    /// order) plus the dangling share. One exclusive owner per output
-    /// element with a fixed summation order, so any partitioning of the
-    /// output rows yields bitwise-identical results.
-    fn row_gather(&self, x: &[f64], share: f64, correct: bool, start: usize, out: &mut [f64]) {
+    /// order). One exclusive owner per output element with a fixed
+    /// summation order, so any partitioning of the output rows yields
+    /// bitwise-identical results.
+    fn row_gather(&self, x: &[f64], start: usize, out: &mut [f64]) {
         for (t, yr) in out.iter_mut().enumerate() {
             let mut acc = crate::kahan::KahanAccumulator::new();
             for (c, v) in self.row_iter(start + t) {
@@ -248,25 +223,25 @@ impl SparseMatrix {
             }
             *yr = acc.total();
         }
-        if correct {
-            for yr in out.iter_mut() {
-                *yr += share;
-            }
-        }
     }
 
     /// Block matrix–vector product `Y = A X` over column-major blocks
     /// (`q` input columns of length `cols` in `xs`, `q` output columns of
-    /// length `rows` in `ys`), accounting for uniform dangling columns
-    /// exactly as [`SparseMatrix::matvec_into`] does.
+    /// length `rows` in `ys`). Rows accumulate through compensated
+    /// summation, so the sparse product is bit-identical to the dense one
+    /// on the same operator; when the matrix has been stochastically
+    /// normalized, the mass of uniform dangling columns is added to every
+    /// row afterwards.
     ///
     /// Serially, one pass over the row structure serves all `q` columns;
-    /// with free pool workers the output block is partitioned into
+    /// when the operand crosses the work threshold and the pool has free
+    /// permits, the output block is partitioned into nnz-balanced
     /// `(class, row-range)` chunks computed concurrently. Per column the
     /// accumulation order (row entries in CSR order, then the
-    /// Kahan-compensated dangling mass) matches the single-vector product,
-    /// so each output column is bit-for-bit identical to it at any thread
-    /// count.
+    /// Kahan-compensated dangling mass) is the same either way, so each
+    /// output column is bit-for-bit identical to a `q = 1` product on it
+    /// at any thread count. Allocation-free apart from the pool's task
+    /// list, so iterative callers loop over it with `q = 1`.
     ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] on wrong block lengths.
@@ -286,21 +261,10 @@ impl SparseMatrix {
         if q == 0 {
             return Ok(());
         }
-        let mut shares = vec![(0.0f64, false); q];
-        for c in 0..q {
-            shares[c] = self.dangling_share(&xs[c * self.cols..(c + 1) * self.cols]);
-        }
         if self.use_parallel(q) {
             let bounds = partition::balanced_bounds(&self.indptr);
             partition::run_col_chunks(bounds.as_slice(), ys, self.rows, |c, start, chunk| {
-                let (share, correct) = shares[c];
-                self.row_gather(
-                    &xs[c * self.cols..(c + 1) * self.cols],
-                    share,
-                    correct,
-                    start,
-                    chunk,
-                );
+                self.row_gather(&xs[c * self.cols..(c + 1) * self.cols], start, chunk);
             });
         } else {
             for r in 0..self.rows {
@@ -313,12 +277,12 @@ impl SparseMatrix {
                     ys[c * self.rows + r] = acc.total();
                 }
             }
-            for c in 0..q {
-                let (share, correct) = shares[c];
-                if correct {
-                    for yr in ys[c * self.rows..(c + 1) * self.rows].iter_mut() {
-                        *yr += share;
-                    }
+        }
+        for c in 0..q {
+            let (share, correct) = self.dangling_share(&xs[c * self.cols..(c + 1) * self.cols]);
+            if correct {
+                for yr in ys[c * self.rows..(c + 1) * self.rows].iter_mut() {
+                    *yr += share;
                 }
             }
         }
@@ -512,13 +476,14 @@ mod tests {
 
     #[test]
     fn matvec_into_matches_allocating_variant() {
+        // The in-place kernel at q = 1 overwrites its buffer completely.
         let m = sample();
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![f64::NAN; 2];
-        m.matvec_into(&x, &mut y).unwrap();
+        m.matvec_multi_into(&x, 1, &mut y).unwrap();
         assert_eq!(y, m.matvec(&x).unwrap());
         // Wrong output length is a dimension error, not a panic.
-        assert!(m.matvec_into(&x, &mut [0.0]).is_err());
+        assert!(m.matvec_multi_into(&x, 1, &mut [0.0]).is_err());
     }
 
     #[test]
@@ -526,9 +491,11 @@ mod tests {
         let mut m = SparseMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 0, 2.0)]).unwrap();
         m.normalize_columns_stochastic();
         let mut y = vec![0.0; 2];
-        m.matvec_into(&[0.5, 0.5], &mut y).unwrap();
-        assert_eq!(y, m.matvec(&[0.5, 0.5]).unwrap());
+        m.matvec_multi_into(&[0.5, 0.5], 1, &mut y).unwrap();
+        // Column 0 splits its 0.5 evenly; dangling column 1 spreads its
+        // 0.5 uniformly, so each row receives 0.25 + 0.25.
         assert!((y[0] - 0.5).abs() < 1e-12);
+        assert!((y[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -614,8 +581,7 @@ mod tests {
         let mut ys = vec![f64::NAN; 3 * q];
         m.matvec_multi_into(&xs, q, &mut ys).unwrap();
         for c in 0..q {
-            let mut single = vec![0.0; 3];
-            m.matvec_into(&xs[c * 3..(c + 1) * 3], &mut single).unwrap();
+            let single = m.matvec(&xs[c * 3..(c + 1) * 3]).unwrap();
             assert_eq!(&ys[c * 3..(c + 1) * 3], single.as_slice(), "column {c}");
         }
         assert!(m.matvec_multi_into(&xs, q, &mut [0.0; 4]).is_err());

@@ -1,20 +1,34 @@
 //! Serial-vs-parallel bitwise determinism of the matvec kernels.
 //!
-//! `DenseMatrix::matvec_into` / `matvec_multi_into` and their
-//! `SparseMatrix` siblings partition output rows over pool workers when
-//! the operand crosses the internal work threshold. The contract is
-//! *exact*: every output element is owned by one chunk and summed in a
-//! fixed order, so the parallel result must be bit-for-bit `==` the
-//! cap-1 result at any thread cap — these tests compare `f64::to_bits`,
-//! never a tolerance. The adaptive work threshold is forced down to 1
-//! (`pool::set_parallel_work_threshold`) so the parallel path really
-//! runs on these deliberately small fixtures.
+//! `DenseMatrix::matvec_multi_into` and its `SparseMatrix` sibling
+//! partition output rows over pool workers when the operand crosses the
+//! internal work threshold. The contract is *exact*: every output element
+//! is owned by one chunk and summed in a fixed order, so the parallel
+//! result must be bit-for-bit `==` the cap-1 result at any thread cap —
+//! these tests compare `f64::to_bits`, never a tolerance. They cover
+//! `q = 1`, the single-vector product every iterative caller runs, and
+//! `q > 1`, the class block of the batched solver. The adaptive work
+//! threshold is forced down to 1 (`pool::set_parallel_work_threshold`) so
+//! the parallel path really runs on these deliberately small fixtures.
 //!
-//! This is an integration binary so the process-global thread cap and
-//! work threshold belong to it alone.
+//! The thread cap, the work threshold and the worker gauge are process
+//! globals, and the harness runs this binary's tests on concurrent
+//! threads. A sibling that resets the gauge or drops the cap to 1
+//! mid-test would defeat the "parallel path ran" proof
+//! (`pool::peak_workers() >= 2`), so every test holds
+//! [`pool_settings_lock`] while it touches those globals.
+
+use std::sync::{Mutex, MutexGuard};
 
 use tmark_linalg::pool;
 use tmark_linalg::{DenseMatrix, SparseMatrix};
+
+/// Serializes the tests of this binary that set the pool globals.
+/// Poison-tolerant: one failed test must not fail the others.
+fn pool_settings_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Forces every product in this binary through the partitioned path.
 fn force_parallel() {
@@ -70,111 +84,78 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Runs `product(xs, ys)` at cap 1 and at every cap in [`CAPS`], asserting
+/// bitwise equality and that the pool really ran at each cap.
+fn assert_bitwise_across_caps(
+    what: &str,
+    x_len: usize,
+    y_len: usize,
+    seed: u64,
+    product: impl Fn(&[f64], &mut [f64]),
+) {
+    let xs = dense_vec(x_len, seed);
+    pool::set_thread_cap(Some(1));
+    let mut ys_serial = vec![0.0; y_len];
+    product(&xs, &mut ys_serial);
+
+    for cap in CAPS {
+        pool::set_thread_cap(Some(cap));
+        pool::reset_peak_workers();
+        let mut ys = vec![f64::NAN; y_len];
+        product(&xs, &mut ys);
+        // A spawned worker plus the caller: the partitioned path ran.
+        assert!(
+            pool::peak_workers() >= 2,
+            "expected pool workers at cap {cap} ({what})"
+        );
+        assert_eq!(bits(&ys), bits(&ys_serial), "{what} diverged at cap {cap}");
+    }
+    pool::set_thread_cap(None);
+}
+
 #[test]
 fn dense_matvec_into_is_bitwise_identical_across_thread_caps() {
+    let _guard = pool_settings_lock();
     force_parallel();
     let (rows, cols) = (90, 70);
     let a = big_dense(rows, cols, 3);
     assert!(rows * cols >= 4096, "operand too small to parallelize");
-    let x = dense_vec(cols, 5);
-
-    pool::set_thread_cap(Some(1));
-    let mut y_serial = vec![0.0; rows];
-    a.matvec_into(&x, &mut y_serial).unwrap();
-
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        pool::reset_peak_workers();
-        let mut y = vec![f64::NAN; rows];
-        a.matvec_into(&x, &mut y).unwrap();
-        assert!(
-            pool::peak_workers() >= 1,
-            "expected pool workers at cap {cap}"
-        );
-        assert_eq!(
-            bits(&y),
-            bits(&y_serial),
-            "matvec_into diverged at cap {cap}"
-        );
-    }
-    pool::set_thread_cap(None);
+    assert_bitwise_across_caps("dense matvec, q = 1", cols, rows, 5, |x, y| {
+        a.matvec_multi_into(x, 1, y).unwrap();
+    });
 }
 
 #[test]
 fn dense_matvec_multi_into_is_bitwise_identical_across_thread_caps() {
+    let _guard = pool_settings_lock();
     force_parallel();
     let (rows, cols, q) = (80, 64, 5);
     let a = big_dense(rows, cols, 7);
-    let xs = dense_vec(cols * q, 11);
-
-    pool::set_thread_cap(Some(1));
-    let mut ys_serial = vec![0.0; rows * q];
-    a.matvec_multi_into(&xs, q, &mut ys_serial).unwrap();
-
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        let mut ys = vec![f64::NAN; rows * q];
-        a.matvec_multi_into(&xs, q, &mut ys).unwrap();
-        assert_eq!(
-            bits(&ys),
-            bits(&ys_serial),
-            "matvec_multi_into diverged at cap {cap}"
-        );
-    }
-    pool::set_thread_cap(None);
+    assert_bitwise_across_caps("dense matvec, q = 5", cols * q, rows * q, 11, |xs, ys| {
+        a.matvec_multi_into(xs, q, ys).unwrap();
+    });
 }
 
 #[test]
 fn sparse_matvec_into_is_bitwise_identical_across_thread_caps() {
+    let _guard = pool_settings_lock();
     force_parallel();
     let n = 240;
     let a = big_sparse(n, 4000, 13);
     assert!(a.nnz() >= 2048, "matrix too small to parallelize");
-    let x = dense_vec(n, 17);
-
-    pool::set_thread_cap(Some(1));
-    let mut y_serial = vec![0.0; n];
-    a.matvec_into(&x, &mut y_serial).unwrap();
-
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        pool::reset_peak_workers();
-        let mut y = vec![f64::NAN; n];
-        a.matvec_into(&x, &mut y).unwrap();
-        assert!(
-            pool::peak_workers() >= 1,
-            "expected pool workers at cap {cap}"
-        );
-        assert_eq!(
-            bits(&y),
-            bits(&y_serial),
-            "sparse matvec_into diverged at cap {cap}"
-        );
-    }
-    pool::set_thread_cap(None);
+    assert_bitwise_across_caps("sparse matvec, q = 1", n, n, 17, |x, y| {
+        a.matvec_multi_into(x, 1, y).unwrap();
+    });
 }
 
 #[test]
 fn sparse_matvec_multi_into_is_bitwise_identical_across_thread_caps() {
+    let _guard = pool_settings_lock();
     force_parallel();
     let (n, q) = (200, 4);
     let a = big_sparse(n, 4400, 19);
     assert!(a.nnz() >= 2048, "matrix too small to parallelize");
-    let xs = dense_vec(n * q, 23);
-
-    pool::set_thread_cap(Some(1));
-    let mut ys_serial = vec![0.0; n * q];
-    a.matvec_multi_into(&xs, q, &mut ys_serial).unwrap();
-
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        let mut ys = vec![f64::NAN; n * q];
-        a.matvec_multi_into(&xs, q, &mut ys).unwrap();
-        assert_eq!(
-            bits(&ys),
-            bits(&ys_serial),
-            "sparse matvec_multi_into diverged at cap {cap}"
-        );
-    }
-    pool::set_thread_cap(None);
+    assert_bitwise_across_caps("sparse matvec, q = 4", n * q, n * q, 23, |xs, ys| {
+        a.matvec_multi_into(xs, q, ys).unwrap();
+    });
 }

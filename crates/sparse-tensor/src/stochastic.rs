@@ -77,116 +77,52 @@ pub struct StochasticTensors {
 }
 
 impl StochasticTensors {
-    /// Normalizes an adjacency tensor into its `(O, R)` pair.
-    ///
-    /// Above the adaptive work threshold the normalization passes and the
-    /// counting-sort assembly run chunk-parallel over the permit pool;
-    /// below it (or with no free permits) the classic serial build runs.
-    /// The two paths are bitwise identical: every chunk boundary is
-    /// aligned to a fiber/row group, every Kahan sum visits the same
-    /// values in the same storage order, and workers return owned buffers
-    /// that are concatenated in deterministic chunk order.
-    pub fn from_tensor(a: &SparseTensor3) -> Self {
-        if pool::should_parallelize(a.nnz()) {
-            Self::from_tensor_parallel(a)
-        } else {
-            Self::from_tensor_serial(a)
-        }
-    }
-
-    /// The classic single-thread build (also the reference the parallel
-    /// path is tested against, bit for bit).
-    fn from_tensor_serial(a: &SparseTensor3) -> Self {
-        let n = a.num_nodes();
-        let m = a.num_relations();
-        let src = a.entries();
-        let mut entries: Vec<BuildEntry> = Vec::with_capacity(src.len());
-
-        // Pass 1: mode-1 fiber sums. Entries are sorted by (k, j, i), so
-        // each (j, k) fiber is a contiguous run.
-        let mut present_columns = Vec::new();
-        let mut start = 0;
-        while start < src.len() {
-            let (k, j) = (src[start].k, src[start].j);
-            let mut end = start;
-            while end < src.len() && src[end].k == k && src[end].j == j {
-                end += 1;
-            }
-            let sum = kahan_map_sum(&src[start..end], |e| e.value);
-            present_columns.push((j as u32, k as u32));
-            for e in &src[start..end] {
-                entries.push((e.i as u32, e.j as u32, e.value / sum, 0.0, e.value));
-            }
-            start = end;
-        }
-
-        // Pass 2: mode-3 fiber sums, grouped by (i, j) via an index sort.
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by_key(|&idx| (entries[idx].0, entries[idx].1));
-        let mut present_pairs = Vec::new();
-        let mut pair_ptr = Vec::new();
-        let mut pos = 0;
-        while pos < order.len() {
-            let (i, j) = (entries[order[pos]].0, entries[order[pos]].1);
-            let mut end = pos;
-            while end < order.len() && entries[order[end]].0 == i && entries[order[end]].1 == j {
-                end += 1;
-            }
-            let sum = kahan_map_sum(&order[pos..end], |&idx| src[idx].value);
-            present_pairs.push((i, j));
-            pair_ptr.push(pos);
-            for &idx in &order[pos..end] {
-                entries[idx].3 = src[idx].value / sum;
-            }
-            pos = end;
-        }
-        pair_ptr.push(order.len());
-
-        debug_verify_normalization(a.slice_ptr(), &entries, &present_columns, &present_pairs);
-        let cs = CompressedSlices::build(n, a.slice_ptr().to_vec(), pair_ptr, &order, &entries);
-        StochasticTensors {
-            n,
-            m,
-            cs,
-            present_columns,
-            present_pairs,
-        }
-    }
-
-    /// Chunk-parallel build. Three stages, all bitwise-equal to
-    /// [`StochasticTensors::from_tensor_serial`] by construction:
+    /// Normalizes an adjacency tensor into its `(O, R)` pair. Three
+    /// chunked stages:
     ///
     /// 1. **Mode-1 normalization** over fiber-aligned entry ranges: each
-    ///    worker runs the serial pass-1 loop on whole `(j, k)` fibers and
-    ///    returns owned buffers, concatenated in range order.
-    /// 2. **Row bucketing** (serial, one streaming pass): storage indices
-    ///    are dealt into nnz-balanced row blocks; each block's bucket is
-    ///    the storage order restricted to its rows.
-    /// 3. **Per-block assembly** in parallel: the O-path counting sort
-    ///    (appending per row preserves each row's storage `(k, j)` order)
-    ///    and the mode-3 pair normalization (a stable `(i, j)` sort of
-    ///    the bucket equals the serial pass's global stable sort
-    ///    restricted to the block's rows — a pair never spans blocks
-    ///    because its row is fixed). Workers return owned segments;
-    ///    concatenating them in block order rebuilds the global arrays.
-    fn from_tensor_parallel(a: &SparseTensor3) -> Self {
+    ///    chunk normalizes whole `(j, k)` fibers (one Kahan sum per fiber
+    ///    over its storage-order run) and returns owned buffers,
+    ///    concatenated in range order.
+    /// 2. **Row bucketing** (one streaming pass): storage indices are
+    ///    dealt into nnz-balanced row blocks; each block's bucket is the
+    ///    storage order restricted to its rows.
+    /// 3. **Per-block assembly**: the O-path counting sort (appending per
+    ///    row preserves each row's storage `(k, j)` order) and the mode-3
+    ///    pair normalization (a stable `(i, j)` sort of the bucket — a
+    ///    pair never spans blocks because its row is fixed). Chunks return
+    ///    owned segments; concatenating them in block order rebuilds the
+    ///    global row-grouped and `(i, j)`-sorted arrays.
+    ///
+    /// Above the adaptive work threshold ([`pool::should_parallelize`])
+    /// the chunks of stages 1 and 3 run over the permit pool via
+    /// [`partition::run_owned`]; below it they run inline on the caller in
+    /// chunk order, so toy networks never touch the pool. The gate decides
+    /// scheduling only: the chunk boundaries depend on neither it nor the
+    /// thread cap, and every Kahan sum visits the same values in the same
+    /// order, so the pair is bitwise identical either way.
+    pub fn from_tensor(a: &SparseTensor3) -> Self {
         let n = a.num_nodes();
         let m = a.num_relations();
         let src = a.entries();
         let nnz = src.len();
         let slice_ptr = a.slice_ptr();
+        let parallel = pool::should_parallelize(nnz);
 
         // Stage 1: mode-1 fiber normalization over fiber-aligned ranges.
         let fiber_bounds = fiber_aligned_bounds(src);
-        let pass1 = partition::run_owned(
-            fiber_bounds
-                .windows(2)
-                .map(|w| {
-                    let (start, end) = (w[0], w[1]);
-                    move || normalize_o_range(src, start, end)
-                })
-                .collect(),
-        );
+        let tasks: Vec<_> = fiber_bounds
+            .windows(2)
+            .map(|w| {
+                let (start, end) = (w[0], w[1]);
+                move || normalize_o_range(src, start, end)
+            })
+            .collect();
+        let pass1 = if parallel {
+            partition::run_owned(tasks)
+        } else {
+            tasks.into_iter().map(|task| task()).collect()
+        };
         let mut entries: Vec<BuildEntry> = Vec::with_capacity(nnz);
         let mut present_columns: Vec<(u32, u32)> = Vec::new();
         for (seg, cols) in pass1 {
@@ -194,8 +130,8 @@ impl StochasticTensors {
             present_columns.extend_from_slice(&cols);
         }
 
-        // Row histogram: identical to the serial build's o_row_ptr, and
-        // the basis of the nnz-balanced row blocks.
+        // Row histogram: the O-path row pointers, and the basis of the
+        // nnz-balanced row blocks.
         let mut o_row_ptr = vec![0usize; n + 1];
         for &(i, ..) in &entries {
             o_row_ptr[i as usize + 1] += 1;
@@ -237,18 +173,19 @@ impl StochasticTensors {
         let entries_ref: &[BuildEntry] = &entries;
         let k_of_ref: &[u32] = &k_of;
         let o_row_ptr_ref: &[usize] = &o_row_ptr;
-        let per_block = partition::run_owned(
-            buckets
-                .into_iter()
-                .zip(blocks.windows(2))
-                .map(|(bucket, w)| {
-                    let (r_lo, r_hi) = (w[0], w[1]);
-                    move || {
-                        assemble_row_block(entries_ref, k_of_ref, o_row_ptr_ref, r_lo, r_hi, bucket)
-                    }
-                })
-                .collect(),
-        );
+        let tasks: Vec<_> = buckets
+            .into_iter()
+            .zip(blocks.windows(2))
+            .map(|(bucket, w)| {
+                let (r_lo, r_hi) = (w[0], w[1]);
+                move || assemble_row_block(entries_ref, k_of_ref, o_row_ptr_ref, r_lo, r_hi, bucket)
+            })
+            .collect();
+        let per_block = if parallel {
+            partition::run_owned(tasks)
+        } else {
+            tasks.into_iter().map(|task| task()).collect()
+        };
 
         // Stitch the owned segments back together in block order. Blocks
         // cover ascending disjoint row ranges, so concatenation IS the
@@ -540,19 +477,11 @@ impl StochasticTensors {
         (dangling / self.m as f64, dangling != 0.0)
     }
 
-    /// Gathers `out[t] = Σ_{idx ∈ row (start + t)} o · x_j · z_k` plus the
-    /// dangling share. One exclusive owner per output element, terms added
-    /// in storage `(k, j)` order: the bitwise contract every partitioning
-    /// of the output relies on.
-    fn o_gather(
-        &self,
-        x: &[f64],
-        z: &[f64],
-        share: f64,
-        correct: bool,
-        start: usize,
-        out: &mut [f64],
-    ) {
+    /// Gathers `out[t] = Σ_{idx ∈ row (start + t)} o · x_j · z_k`. One
+    /// exclusive owner per output element, terms added in storage `(k, j)`
+    /// order: the bitwise contract every partitioning of the output relies
+    /// on. The dangling share is added afterwards by [`add_dangling`].
+    fn o_gather(&self, x: &[f64], z: &[f64], start: usize, out: &mut [f64]) {
         let cs = &self.cs;
         for (t, yi) in out.iter_mut().enumerate() {
             let i = start + t;
@@ -561,25 +490,11 @@ impl StochasticTensors {
                 *yi += cs.o_vals[idx] * x[cs.o_col[idx] as usize] * z[cs.o_rel[idx] as usize];
             }
         }
-        if correct {
-            for yi in out.iter_mut() {
-                *yi += share;
-            }
-        }
     }
 
-    /// Gathers `out[t] = Σ_{idx ∈ slice (start + t)} r · u_i · v_j` plus
-    /// the dangling share, with the same exclusive-owner contract as
-    /// [`StochasticTensors::o_gather`].
-    fn r_gather(
-        &self,
-        u: &[f64],
-        v: &[f64],
-        share: f64,
-        correct: bool,
-        start: usize,
-        out: &mut [f64],
-    ) {
+    /// Gathers `out[t] = Σ_{idx ∈ slice (start + t)} r · u_i · v_j`, with
+    /// the same exclusive-owner contract as [`StochasticTensors::o_gather`].
+    fn r_gather(&self, u: &[f64], v: &[f64], start: usize, out: &mut [f64]) {
         let cs = &self.cs;
         for (t, zk) in out.iter_mut().enumerate() {
             let k = start + t;
@@ -588,53 +503,6 @@ impl StochasticTensors {
                 *zk += cs.r_vals[idx] * u[cs.row_idx[idx] as usize] * v[cs.col_idx[idx] as usize];
             }
         }
-        if correct {
-            for zk in out.iter_mut() {
-                *zk += share;
-            }
-        }
-    }
-
-    /// `y = O ×̄₁ x ×̄₃ z` (Eq. 5 / step 5 of Algorithm 1), writing into a
-    /// caller-provided buffer. For stochastic `x` and `z` the output is
-    /// stochastic (Theorem 1). Partitions the output rows over free pool
-    /// workers; the result is bitwise equal to the serial sweep at any
-    /// thread count.
-    ///
-    /// # Errors
-    /// [`TensorError::VectorLengthMismatch`] on wrong operand lengths.
-    pub fn contract_o_into(&self, x: &[f64], z: &[f64], y: &mut [f64]) -> Result<(), TensorError> {
-        if x.len() != self.n {
-            return Err(TensorError::VectorLengthMismatch {
-                operand: "x",
-                expected: self.n,
-                found: x.len(),
-            });
-        }
-        if z.len() != self.m {
-            return Err(TensorError::VectorLengthMismatch {
-                operand: "z",
-                expected: self.m,
-                found: z.len(),
-            });
-        }
-        if y.len() != self.n {
-            return Err(TensorError::VectorLengthMismatch {
-                operand: "y",
-                expected: self.n,
-                found: y.len(),
-            });
-        }
-        let (share, correct) = self.o_share(x, z);
-        if self.use_parallel(1) {
-            partition::run_chunks(&self.cs.o_parts, y, |start, chunk| {
-                self.o_gather(x, z, share, correct, start, chunk);
-            });
-        } else {
-            self.o_gather(x, z, share, correct, 0, y);
-        }
-        self.debug_verify_simplex_preserved(&[x, z], y, "O ×̄₁ x ×̄₃ z (Theorem 1)");
-        Ok(())
     }
 
     /// Debug-build Theorem-1 check: when every input lies on the
@@ -654,69 +522,49 @@ impl StochasticTensors {
         }
     }
 
-    /// Allocating wrapper around [`StochasticTensors::contract_o_into`].
-    pub fn contract_o(&self, x: &[f64], z: &[f64]) -> Result<Vec<f64>, TensorError> {
-        let mut y = vec![0.0; self.n];
-        self.contract_o_into(x, z, &mut y)?;
-        Ok(y)
-    }
-
-    /// `z = R ×̄₁ x ×̄₂ x` (Eq. 6 / step 6 of Algorithm 1), writing into a
-    /// caller-provided buffer. For stochastic `x` the output is stochastic.
-    /// Partitions the output relations over free pool workers; the result
-    /// is bitwise equal to the serial sweep at any thread count.
+    /// `y = O ×̄₁ x ×̄₃ z` (Eq. 5 / step 5 of Algorithm 1) as a freshly
+    /// allocated vector: the `q = 1` case of
+    /// [`StochasticTensors::contract_o_multi_into`]. For stochastic `x`
+    /// and `z` the output is stochastic (Theorem 1). Loops call the multi
+    /// kernel with a reused buffer instead.
     ///
     /// # Errors
     /// [`TensorError::VectorLengthMismatch`] on wrong operand lengths.
-    pub fn contract_r_into(&self, x: &[f64], z: &mut [f64]) -> Result<(), TensorError> {
-        if x.len() != self.n {
-            return Err(TensorError::VectorLengthMismatch {
-                operand: "x",
-                expected: self.n,
-                found: x.len(),
-            });
-        }
-        if z.len() != self.m {
-            return Err(TensorError::VectorLengthMismatch {
-                operand: "z",
-                expected: self.m,
-                found: z.len(),
-            });
-        }
-        let (share, correct) = self.r_share(x, x);
-        if self.use_parallel(1) {
-            partition::run_chunks(&self.cs.r_parts, z, |start, chunk| {
-                self.r_gather(x, x, share, correct, start, chunk);
-            });
-        } else {
-            self.r_gather(x, x, share, correct, 0, z);
-        }
-        self.debug_verify_simplex_preserved(&[x], z, "R ×̄₁ x ×̄₂ x (Theorem 1)");
-        Ok(())
+    pub fn contract_o(&self, x: &[f64], z: &[f64]) -> Result<Vec<f64>, TensorError> {
+        let mut y = vec![0.0; self.n];
+        self.contract_o_multi_into(x, z, &mut y, 1)?;
+        Ok(y)
     }
 
-    /// Allocating wrapper around [`StochasticTensors::contract_r_into`].
+    /// `z = R ×̄₁ x ×̄₂ x` (Eq. 6 / step 6 of Algorithm 1) as a freshly
+    /// allocated vector: the `q = 1` case of
+    /// [`StochasticTensors::contract_r_multi_into`]. For stochastic `x` the
+    /// output is stochastic. Loops call the multi kernel with a reused
+    /// buffer instead.
+    ///
+    /// # Errors
+    /// [`TensorError::VectorLengthMismatch`] on wrong operand lengths.
     pub fn contract_r(&self, x: &[f64]) -> Result<Vec<f64>, TensorError> {
         let mut z = vec![0.0; self.m];
-        self.contract_r_into(x, &mut z)?;
+        self.contract_r_multi_into(x, &mut z, 1)?;
         Ok(z)
     }
 
-    /// Batched `O` contraction: `ys[:, c] = O ×̄₁ xs[:, c] ×̄₃ zs[:, c]` for
-    /// `q` classes at once. `xs`/`ys` are column-major `n × q` blocks
-    /// (class `c` occupies `xs[c·n .. (c+1)·n]`) and `zs` is a column-major
-    /// `m × q` block.
+    /// `ys[:, c] = O ×̄₁ xs[:, c] ×̄₃ zs[:, c]` (Eq. 5) for `q` operand
+    /// columns at once. `xs`/`ys` are column-major `n × q` blocks (column
+    /// `c` occupies `xs[c·n .. (c+1)·n]`) and `zs` is a column-major
+    /// `m × q` block; `q = 1` is the plain single-vector contraction.
     ///
-    /// Serially, one pass over the stored entries serves all `q` classes —
-    /// the cache-locality win over `q` independent [`contract_o_into`]
-    /// calls. With free pool workers, the output block is partitioned into
-    /// `(class, row-range)` chunks computed concurrently. Either way the
-    /// per-element summation order is exactly that of [`contract_o_into`]
-    /// (row entries in storage `(k, j)` order, then the analytic dangling
-    /// correction), so each output column is bit-for-bit identical to the
-    /// single-class kernel on the same operands, at any thread count.
-    ///
-    /// [`contract_o_into`]: StochasticTensors::contract_o_into
+    /// Serially, one pass over the stored entries serves all `q` columns
+    /// (a single column runs the chunk gather over the whole output).
+    /// When the work crosses the adaptive threshold and the pool has free
+    /// permits, the output block is partitioned into `(column, row-range)`
+    /// chunks computed concurrently. Either way each output element sums
+    /// its row entries in storage `(k, j)` order and then adds the
+    /// analytic dangling correction, so every column is bit-for-bit
+    /// identical to a `q = 1` call on the same operands, at any thread
+    /// count. Allocation-free apart from the pool's task list, so
+    /// iterative callers loop over it directly.
     ///
     /// # Errors
     /// [`TensorError::VectorLengthMismatch`] on wrong block lengths.
@@ -752,22 +600,18 @@ impl StochasticTensors {
         if q == 0 {
             return Ok(());
         }
-        let mut shares = vec![(0.0f64, false); q];
-        for c in 0..q {
-            shares[c] = self.o_share(&xs[c * n..(c + 1) * n], &zs[c * m..(c + 1) * m]);
-        }
         if self.use_parallel(q) {
             partition::run_col_chunks(&self.cs.o_parts, ys, n, |c, start, chunk| {
-                let (share, correct) = shares[c];
                 self.o_gather(
                     &xs[c * n..(c + 1) * n],
                     &zs[c * m..(c + 1) * m],
-                    share,
-                    correct,
                     start,
                     chunk,
                 );
             });
+        } else if q == 1 {
+            // One column: the partitioned path's gather as a single chunk.
+            self.o_gather(xs, zs, 0, ys);
         } else {
             let cs = &self.cs;
             ys.fill(0.0);
@@ -781,35 +625,26 @@ impl StochasticTensors {
                     }
                 }
             }
-            for c in 0..q {
-                let (share, correct) = shares[c];
-                if correct {
-                    for yi in ys[c * n..(c + 1) * n].iter_mut() {
-                        *yi += share;
-                    }
-                }
-            }
         }
         for c in 0..q {
-            self.debug_verify_simplex_preserved(
-                &[&xs[c * n..(c + 1) * n], &zs[c * m..(c + 1) * m]],
-                &ys[c * n..(c + 1) * n],
-                "batched O ×̄₁ x ×̄₃ z (Theorem 1)",
-            );
+            let (x, z) = (&xs[c * n..(c + 1) * n], &zs[c * m..(c + 1) * m]);
+            let y = &mut ys[c * n..(c + 1) * n];
+            add_dangling(self.o_share(x, z), y);
+            self.debug_verify_simplex_preserved(&[x, z], y, "O ×̄₁ x ×̄₃ z (Theorem 1)");
         }
         Ok(())
     }
 
-    /// Batched `R` contraction: `zs[:, c] = R ×̄₁ xs[:, c] ×̄₂ xs[:, c]` for
-    /// `q` classes at once, over column-major `n × q` / `m × q` blocks.
-    /// Serially one pass over the stored entries serves all classes; with
+    /// `zs[:, c] = R ×̄₁ xs[:, c] ×̄₂ xs[:, c]` (Eq. 6) for `q` operand
+    /// columns at once, over column-major `n × q` / `m × q` blocks; `q = 1`
+    /// is the plain single-vector contraction. Serially one pass over the
+    /// stored entries serves all columns (a single column runs the chunk
+    /// gather over the whole output); above the work threshold with
     /// free pool workers the output block is partitioned into
-    /// `(class, relation-range)` chunks. Each output column is bit-for-bit
-    /// identical to [`contract_r_into`] on the same operand (same entry
-    /// order, same Kahan-compensated dangling correction) at any thread
-    /// count.
-    ///
-    /// [`contract_r_into`]: StochasticTensors::contract_r_into
+    /// `(column, relation-range)` chunks. Each output element sums its
+    /// slice in storage order and then adds the Kahan-compensated dangling
+    /// correction, so every column is bit-for-bit identical to a `q = 1`
+    /// call on the same operand at any thread count.
     ///
     /// # Errors
     /// [`TensorError::VectorLengthMismatch`] on wrong block lengths.
@@ -837,17 +672,14 @@ impl StochasticTensors {
         if q == 0 {
             return Ok(());
         }
-        let mut shares = vec![(0.0f64, false); q];
-        for c in 0..q {
-            let x = &xs[c * n..(c + 1) * n];
-            shares[c] = self.r_share(x, x);
-        }
         if self.use_parallel(q) {
             partition::run_col_chunks(&self.cs.r_parts, zs, m, |c, start, chunk| {
-                let (share, correct) = shares[c];
                 let x = &xs[c * n..(c + 1) * n];
-                self.r_gather(x, x, share, correct, start, chunk);
+                self.r_gather(x, x, start, chunk);
             });
+        } else if q == 1 {
+            // One column: the partitioned path's gather as a single chunk.
+            self.r_gather(xs, xs, 0, zs);
         } else {
             let cs = &self.cs;
             zs.fill(0.0);
@@ -861,28 +693,19 @@ impl StochasticTensors {
                     }
                 }
             }
-            for c in 0..q {
-                let (share, correct) = shares[c];
-                if correct {
-                    for zk in zs[c * m..(c + 1) * m].iter_mut() {
-                        *zk += share;
-                    }
-                }
-            }
         }
         for c in 0..q {
-            self.debug_verify_simplex_preserved(
-                &[&xs[c * n..(c + 1) * n]],
-                &zs[c * m..(c + 1) * m],
-                "batched R ×̄₁ x ×̄₂ x (Theorem 1)",
-            );
+            let x = &xs[c * n..(c + 1) * n];
+            let z = &mut zs[c * m..(c + 1) * m];
+            add_dangling(self.r_share(x, x), z);
+            self.debug_verify_simplex_preserved(&[x], z, "R ×̄₁ x ×̄₂ x (Theorem 1)");
         }
         Ok(())
     }
 
     /// The two-vector relation contraction
     /// `z_k = Σ_{i,j} r_{i,j,k} · u_i · v_j` with the same analytic
-    /// dangling handling as [`StochasticTensors::contract_r_into`].
+    /// dangling handling as [`StochasticTensors::contract_r_multi_into`].
     ///
     /// [`StochasticTensors::contract_r`] is the `u = v` special case; the
     /// general form is needed by HAR-style co-ranking, where the mode-1
@@ -906,14 +729,14 @@ impl StochasticTensors {
             });
         }
         let mut z = vec![0.0; self.m];
-        let (share, correct) = self.r_share(u, v);
         if self.use_parallel(1) {
             partition::run_chunks(&self.cs.r_parts, &mut z, |start, chunk| {
-                self.r_gather(u, v, share, correct, start, chunk);
+                self.r_gather(u, v, start, chunk);
             });
         } else {
-            self.r_gather(u, v, share, correct, 0, &mut z);
+            self.r_gather(u, v, 0, &mut z);
         }
+        add_dangling(self.r_share(u, v), &mut z);
         self.debug_verify_simplex_preserved(&[u, v], &z, "R ×̄₁ u ×̄₂ v (HAR co-ranking)");
         Ok(z)
     }
@@ -981,10 +804,22 @@ impl StochasticTensors {
     }
 }
 
-/// Entry-range boundaries for the parallel mode-1 normalization pass:
+/// Adds the analytic dangling share (from [`StochasticTensors::o_share`]
+/// or [`StochasticTensors::r_share`]) to every gathered output element —
+/// the last term of each element's fixed summation order. Skipped when
+/// no mass dangles.
+fn add_dangling((share, correct): (f64, bool), out: &mut [f64]) {
+    if correct {
+        for v in out.iter_mut() {
+            *v += share;
+        }
+    }
+}
+
+/// Entry-range boundaries for the chunked mode-1 normalization pass:
 /// roughly nnz-balanced, snapped *forward* so every `(j, k)` fiber run is
-/// fully contained in one range (a fiber's Kahan sum must be computed by
-/// one worker over the whole run, exactly as the serial pass does).
+/// fully contained in one range (a fiber's Kahan sum is computed by one
+/// chunk over the whole run, so it never depends on the boundaries).
 fn fiber_aligned_bounds(src: &[Entry]) -> Vec<usize> {
     let nnz = src.len();
     let parts = partition::MAX_PARTS.min(nnz.max(1));
@@ -1007,11 +842,11 @@ fn fiber_aligned_bounds(src: &[Entry]) -> Vec<usize> {
     bounds
 }
 
-/// One worker of the parallel mode-1 normalization: the serial pass-1
-/// loop restricted to a fiber-aligned entry range. Returns the
-/// normalized entries and present `(j, k)` columns of the range as owned
-/// buffers; concatenating the per-range buffers in range order is
-/// bitwise identical to the serial pass over the whole entry stream.
+/// One chunk of the mode-1 normalization: Eq. (1) over the whole `(j, k)`
+/// fibers of a fiber-aligned entry range. Returns the normalized entries
+/// and present `(j, k)` columns of the range as owned buffers;
+/// concatenating the per-range buffers in range order gives the pass over
+/// the whole entry stream, whatever the range boundaries.
 fn normalize_o_range(
     src: &[Entry],
     range_start: usize,
@@ -1057,16 +892,16 @@ struct BlockAssembly {
     pair_starts: Vec<usize>,
 }
 
-/// One worker of the parallel assembly: the O-path counting sort and the
-/// mode-3 pair normalization restricted to rows `r_lo .. r_hi`. `bucket`
-/// holds the block's storage indices in storage order.
+/// One chunk of the assembly: the O-path counting sort and the mode-3
+/// pair normalization restricted to rows `r_lo .. r_hi`. `bucket` holds
+/// the block's storage indices in storage order.
 ///
 /// Bitwise contract: appending per row in bucket order reproduces each
-/// row's storage `(k, j)` entry order (the serial counting sort); the
-/// stable `(i, j)` sort of the bucket equals the serial pass-2 global
-/// stable sort restricted to these rows, and every `(i, j)` pair lies
-/// entirely within one block, so the per-pair Kahan sums visit the same
-/// values in the same order as the serial pass.
+/// row's storage `(k, j)` entry order; the stable `(i, j)` sort of the
+/// bucket equals a global stable `(i, j)` sort of the storage order
+/// restricted to these rows, and every `(i, j)` pair lies entirely within
+/// one block, so the per-pair Kahan sums visit the same values in the
+/// same order whatever the block boundaries.
 fn assemble_row_block(
     entries: &[BuildEntry],
     k_of: &[u32],
@@ -1135,7 +970,7 @@ fn assemble_row_block(
 /// contiguous `(k, j)` entry run in the patched tensor and `base` its
 /// offset into the storage-order arrays. Recomputes the Eq. (1)
 /// probabilities `o = value / Σ value` with the same Kahan sum over the
-/// same storage-order values as `from_tensor`'s pass 1, so the result is
+/// same storage-order values as `from_tensor`'s stage 1, so the result is
 /// bitwise identical to a full rebuild. Each entry's row-grouped slot is
 /// found by the `o_get` binary search over `(o_rel, o_col)`; the raw
 /// value mirror is refreshed alongside. Allocation-free.
@@ -1172,7 +1007,7 @@ fn patch_o_fiber(cs: &mut CompressedSlices, run: &[Entry], base: usize) {
 /// Re-normalizes one stored mode-3 fiber in place: `p` indexes the
 /// `(i, j)` pair in `present_pairs` / `pair_ptr` and `src` is the patched
 /// tensor's storage-order entry stream. The Kahan sum walks `pair_order`
-/// exactly as `from_tensor`'s pass 2 walked `order`, so the recomputed
+/// exactly as `from_tensor`'s pair normalization did, so the recomputed
 /// Eq. (2) probabilities are bitwise identical to a full rebuild.
 /// Allocation-free.
 fn patch_r_pair(cs: &mut CompressedSlices, src: &[Entry], p: usize) {
@@ -1417,9 +1252,11 @@ mod tests {
         assert!(s.contract_o(&[0.0; 4], &[0.0; 4]).is_err());
         assert!(s.contract_r(&[0.0; 2]).is_err());
         let mut y = vec![0.0; 3];
-        assert!(s.contract_o_into(&[0.0; 4], &[0.0; 3], &mut y).is_err());
+        assert!(s
+            .contract_o_multi_into(&[0.0; 4], &[0.0; 3], &mut y, 1)
+            .is_err());
         let mut z = vec![0.0; 2];
-        assert!(s.contract_r_into(&[0.0; 4], &mut z).is_err());
+        assert!(s.contract_r_multi_into(&[0.0; 4], &mut z, 1).is_err());
     }
 
     #[test]
@@ -1533,6 +1370,7 @@ mod tests {
 
     #[test]
     fn contract_o_multi_matches_per_class_bitwise() {
+        // Each column of a q = 5 block equals the q = 1 contraction of it.
         let (_, s) = example();
         let (n, m, q) = (4, 3, 5);
         let xs = simplex_columns(n, q);
@@ -1583,7 +1421,7 @@ mod tests {
     }
 
     /// A pseudo-random tensor with duplicate coordinates, skewed rows, and
-    /// guaranteed dangling structure, for the build-path equivalence test.
+    /// guaranteed dangling structure, for the cross-cap build tests.
     fn random_tensor(n: usize, m: usize, draws: usize, seed: u64) -> SparseTensor3 {
         let mut state = seed;
         let mut lcg = move || {
@@ -1631,36 +1469,74 @@ mod tests {
         assert_eq!(a.cs.r_parts, b.cs.r_parts, "{label}: r_parts");
     }
 
+    /// Serializes the tests that set the process-global thread cap, work
+    /// threshold or worker gauge, so no sibling test changes them midway.
+    /// Poison-tolerant: a failed test must not fail the others.
+    fn pool_settings_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
-    fn from_tensor_parallel_matches_from_tensor_serial_bitwise() {
+    fn from_tensor_is_bitwise_identical_across_caps() {
+        let _guard = pool_settings_lock();
         // Several shapes so the fiber ranges and row blocks land on
-        // different boundaries; every compressed array must match the
-        // serial build bit for bit at any thread cap.
+        // different boundaries. With the work threshold forced to 1, caps
+        // above 1 run the chunks over the pool; every compressed array
+        // must match the cap-1 (inline) build bit for bit.
+        pool::set_parallel_work_threshold(Some(1));
         for (n, m, draws, seed) in [(97, 4, 3000, 11u64), (23, 2, 300, 7), (151, 6, 5000, 23)] {
             let t = random_tensor(n, m, draws, seed);
-            let serial = StochasticTensors::from_tensor_serial(&t);
-            // Direct call: the parallel algorithm itself, serial schedule.
             pool::set_thread_cap(Some(1));
-            let par1 = StochasticTensors::from_tensor_parallel(&t);
-            assert_builds_identical(&serial, &par1, "cap 1");
-            // Dispatch through from_tensor with the work threshold forced
-            // to 1 and workers available.
-            pool::set_parallel_work_threshold(Some(1));
-            pool::set_thread_cap(Some(4));
-            let par4 = StochasticTensors::from_tensor(&t);
-            assert_builds_identical(&serial, &par4, "cap 4");
-            pool::set_thread_cap(None);
-            pool::set_parallel_work_threshold(None);
+            let inline = StochasticTensors::from_tensor(&t);
+            for cap in [2, 7] {
+                pool::set_thread_cap(Some(cap));
+                pool::reset_peak_workers();
+                let pooled = StochasticTensors::from_tensor(&t);
+                // Prove the pool ran: a spawned worker plus the caller.
+                assert!(
+                    pool::peak_workers() >= 2,
+                    "expected pool workers at cap {cap}"
+                );
+                assert_builds_identical(&inline, &pooled, &format!("cap {cap}"));
+            }
         }
+        pool::set_thread_cap(None);
+        pool::set_parallel_work_threshold(None);
     }
 
     #[test]
     fn from_tensor_dispatches_to_the_serial_build_below_the_threshold() {
+        let _guard = pool_settings_lock();
         let t = random_tensor(31, 3, 200, 5);
-        // Default threshold (4M entry visits) is far above 200 draws: the
-        // dispatch must take the serial path and still equal it.
-        let via_dispatch = StochasticTensors::from_tensor(&t);
-        let serial = StochasticTensors::from_tensor_serial(&t);
-        assert_builds_identical(&serial, &via_dispatch, "dispatch");
+        // The default threshold (4M entry visits) is far above 200 draws:
+        // even with free permits the chunks run inline on the caller, and
+        // the result equals the pooled schedule's.
+        pool::set_thread_cap(Some(7));
+        let inline = StochasticTensors::from_tensor(&t);
+        pool::set_parallel_work_threshold(Some(1));
+        let pooled = StochasticTensors::from_tensor(&t);
+        assert_builds_identical(&inline, &pooled, "dispatch");
+        pool::set_thread_cap(None);
+        pool::set_parallel_work_threshold(None);
+    }
+
+    #[test]
+    fn from_tensor_groups_the_o_path_by_row_in_storage_order() {
+        // Two relations, three nodes; storage order (k, j, i):
+        // k=0: (i=1, j=0), (i=2, j=0); k=1: (i=1, j=2).
+        let t =
+            SparseTensor3::from_entries(3, 2, vec![(1, 0, 0, 1.0), (2, 0, 0, 1.0), (1, 2, 1, 1.0)])
+                .unwrap();
+        let cs = StochasticTensors::from_tensor(&t).cs;
+        assert_eq!(cs.nnz(), 3);
+        assert_eq!(cs.o_row_ptr, vec![0, 0, 2, 3]);
+        // Row 1 keeps its entries in (k, j) order: (k=0, j=0) then (k=1, j=2).
+        assert_eq!(&cs.o_rel[0..2], &[0, 1]);
+        assert_eq!(&cs.o_col[0..2], &[0, 2]);
+        assert_eq!(cs.relation_of(0), 0);
+        assert_eq!(cs.relation_of(2), 1);
+        assert_eq!(*cs.o_parts.last().unwrap(), 3);
+        assert_eq!(*cs.r_parts.last().unwrap(), 2);
     }
 }

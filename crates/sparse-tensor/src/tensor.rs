@@ -397,7 +397,7 @@ impl SparseTensor3 {
     /// Direct contraction `(A ×̄₁ x ×̄₃ z)_i = Σ_{j,k} a_{i,j,k} x_j z_k` on
     /// the *raw* tensor (no normalization, no dangling handling). The
     /// stochastic version used by Algorithm 1 lives in
-    /// [`crate::stochastic::StochasticTensors::contract_o_into`].
+    /// [`crate::stochastic::StochasticTensors::contract_o_multi_into`].
     pub fn contract_mode1_mode3(&self, x: &[f64], z: &[f64]) -> Result<Vec<f64>, TensorError> {
         if x.len() != self.n {
             return Err(TensorError::VectorLengthMismatch {

@@ -8,18 +8,42 @@
 //! threshold is forced down to 1 (`pool::set_parallel_work_threshold`) so
 //! the parallel path really runs at caps > 1 on these small fixtures.
 //!
-//! This is an integration binary so the process-global thread cap and
-//! work threshold belong to it alone. Even so, the assertions would hold
-//! under any concurrent cap change — that is the point of the contract.
+//! The thread cap, the work threshold and the worker gauge are process
+//! globals, and the harness runs this binary's tests on concurrent
+//! threads. The bitwise assertions hold under any concurrent cap change —
+//! that is the point of the contract — but the "parallel path ran" proof
+//! (`pool::peak_workers() >= 2` at caps ≥ 2) does not: a sibling that
+//! resets the gauge or drops the cap to 1 mid-test defeats it. Every test
+//! therefore holds [`pool_settings_lock`] while it touches those globals.
+
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use tmark_linalg::pool;
 use tmark_linalg::vector::normalize_sum_to_one;
 use tmark_sparse_tensor::{SparseTensor3, StochasticTensors};
 
+/// Serializes the tests of this binary that set the pool globals.
+/// Poison-tolerant: one failed test must not fail the others.
+fn pool_settings_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Forces every contraction in this binary through the partitioned path.
 fn force_parallel() {
     pool::set_parallel_work_threshold(Some(1));
+}
+
+/// The "parallel path ran" proof: at caps ≥ 2 the last gauged call drew
+/// at least one spawned worker besides the caller.
+fn assert_pool_ran(cap: usize, what: &str) {
+    if cap > 1 {
+        assert!(
+            pool::peak_workers() >= 2,
+            "expected pool workers at cap {cap} ({what})"
+        );
+    }
 }
 
 /// Thread caps under test: forced-serial, minimal parallelism, and more
@@ -68,6 +92,7 @@ fn simplex_block(len: usize, q: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn single_vector_contractions_are_bitwise_identical_across_caps() {
+    let _guard = pool_settings_lock();
     force_parallel();
     let (n, m) = (251, 6);
     let s = StochasticTensors::from_tensor(&big_tensor(n, m, 4000, 11));
@@ -77,29 +102,23 @@ fn single_vector_contractions_are_bitwise_identical_across_caps() {
     let u = simplex(n, 23);
 
     pool::set_thread_cap(Some(1));
-    let mut y_serial = vec![0.0; n];
-    s.contract_o_into(&x, &z, &mut y_serial).unwrap();
-    let mut z_serial = vec![0.0; m];
-    s.contract_r_into(&x, &mut z_serial).unwrap();
+    let y_serial = s.contract_o(&x, &z).unwrap();
+    let z_serial = s.contract_r(&x).unwrap();
     let pair_serial = s.contract_r_pair(&u, &x).unwrap();
 
     for cap in CAPS {
         pool::set_thread_cap(Some(cap));
         pool::reset_peak_workers();
-        let mut y = vec![f64::NAN; n];
-        s.contract_o_into(&x, &z, &mut y).unwrap();
-        if cap > 1 {
-            // Prove the parallel path ran rather than silently gating off.
-            assert!(
-                pool::peak_workers() >= 1,
-                "expected pool workers at cap {cap}"
-            );
-        }
-        assert_eq!(y, y_serial, "contract_o_into diverged at cap {cap}");
-        let mut zc = vec![f64::NAN; m];
-        s.contract_r_into(&x, &mut zc).unwrap();
-        assert_eq!(zc, z_serial, "contract_r_into diverged at cap {cap}");
+        let y = s.contract_o(&x, &z).unwrap();
+        assert_pool_ran(cap, "contract_o");
+        assert_eq!(y, y_serial, "contract_o diverged at cap {cap}");
+        pool::reset_peak_workers();
+        let zc = s.contract_r(&x).unwrap();
+        assert_pool_ran(cap, "contract_r");
+        assert_eq!(zc, z_serial, "contract_r diverged at cap {cap}");
+        pool::reset_peak_workers();
         let pair = s.contract_r_pair(&u, &x).unwrap();
+        assert_pool_ran(cap, "contract_r_pair");
         assert_eq!(pair, pair_serial, "contract_r_pair diverged at cap {cap}");
     }
     pool::set_thread_cap(None);
@@ -107,36 +126,53 @@ fn single_vector_contractions_are_bitwise_identical_across_caps() {
 
 #[test]
 fn batched_contractions_are_bitwise_identical_across_caps() {
+    let _guard = pool_settings_lock();
     force_parallel();
-    let (n, m, q) = (199, 5, 4);
+    let (n, m) = (199, 5);
     let s = StochasticTensors::from_tensor(&big_tensor(n, m, 4400, 17));
     assert!(s.nnz() >= 2048, "tensor too small to exercise parallelism");
-    let xs = simplex_block(n, q, 31);
-    let zs = simplex_block(m, q, 47);
+    // q = 1 is the single-vector contraction every iterative caller
+    // runs; q = 4 the class block of the batched solver.
+    for q in [1, 4] {
+        let xs = simplex_block(n, q, 31);
+        let zs = simplex_block(m, q, 47);
 
-    pool::set_thread_cap(Some(1));
-    let mut ys_serial = vec![0.0; n * q];
-    s.contract_o_multi_into(&xs, &zs, &mut ys_serial, q)
-        .unwrap();
-    let mut zs_serial = vec![0.0; m * q];
-    s.contract_r_multi_into(&xs, &mut zs_serial, q).unwrap();
+        pool::set_thread_cap(Some(1));
+        let mut ys_serial = vec![0.0; n * q];
+        s.contract_o_multi_into(&xs, &zs, &mut ys_serial, q)
+            .unwrap();
+        let mut zs_serial = vec![0.0; m * q];
+        s.contract_r_multi_into(&xs, &mut zs_serial, q).unwrap();
 
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        let mut ys = vec![f64::NAN; n * q];
-        s.contract_o_multi_into(&xs, &zs, &mut ys, q).unwrap();
-        assert_eq!(ys, ys_serial, "contract_o_multi_into diverged at cap {cap}");
-        let mut zb = vec![f64::NAN; m * q];
-        s.contract_r_multi_into(&xs, &mut zb, q).unwrap();
-        assert_eq!(zb, zs_serial, "contract_r_multi_into diverged at cap {cap}");
+        for cap in CAPS {
+            pool::set_thread_cap(Some(cap));
+            pool::reset_peak_workers();
+            let mut ys = vec![f64::NAN; n * q];
+            s.contract_o_multi_into(&xs, &zs, &mut ys, q).unwrap();
+            assert_pool_ran(cap, "contract_o_multi_into");
+            assert_eq!(
+                ys, ys_serial,
+                "contract_o_multi_into diverged at cap {cap}, q = {q}"
+            );
+            pool::reset_peak_workers();
+            let mut zb = vec![f64::NAN; m * q];
+            s.contract_r_multi_into(&xs, &mut zb, q).unwrap();
+            assert_pool_ran(cap, "contract_r_multi_into");
+            assert_eq!(
+                zb, zs_serial,
+                "contract_r_multi_into diverged at cap {cap}, q = {q}"
+            );
 
-        // The batched kernels also stay column-equal to the single-vector
-        // kernels at every cap (the per-element summation order is shared).
-        for c in 0..q {
-            let single = s
-                .contract_o(&xs[c * n..(c + 1) * n], &zs[c * m..(c + 1) * m])
-                .unwrap();
-            assert_eq!(&ys[c * n..(c + 1) * n], single.as_slice(), "class {c}");
+            // Every column of the block also equals the q = 1 contraction
+            // of that column at every cap.
+            for c in 0..q {
+                let single = s
+                    .contract_o(&xs[c * n..(c + 1) * n], &zs[c * m..(c + 1) * m])
+                    .unwrap();
+                assert_eq!(&ys[c * n..(c + 1) * n], single.as_slice(), "class {c}");
+                let single = s.contract_r(&xs[c * n..(c + 1) * n]).unwrap();
+                assert_eq!(&zb[c * m..(c + 1) * m], single.as_slice(), "class {c}");
+            }
         }
     }
     pool::set_thread_cap(None);
@@ -144,6 +180,7 @@ fn batched_contractions_are_bitwise_identical_across_caps() {
 
 #[test]
 fn dangling_fiber_corrections_survive_parallel_partitioning() {
+    let _guard = pool_settings_lock();
     force_parallel();
     // A tensor whose mass is concentrated on few fibers: most of the
     // probability flows through the analytic dangling correction, the part
@@ -196,6 +233,7 @@ proptest! {
         m in 2usize..6,
         seed in any::<u64>(),
     ) {
+        let _guard = pool_settings_lock();
         force_parallel();
         let s = StochasticTensors::from_tensor(&big_tensor(n, m, 3000, seed));
         prop_assert!(s.nnz() >= 2048, "generator should clear the threshold");

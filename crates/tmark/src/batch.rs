@@ -1,7 +1,9 @@
-//! Lockstep multi-class solver: Algorithm 1 over an `n × q` iterate block.
+//! Algorithm 1: the coupled fixed-point iteration over an `n × q` block.
 //!
-//! [`BatchSolver`] runs the coupled fixed-point iteration for many classes
-//! at once. Each iteration makes *one* pass over the stored tensor entries
+//! [`BatchSolver`] is the one implementation of the paper's iteration
+//! (Eqs. 8/10 with the Eq. 12 ICA refresh). It runs any number of classes
+//! in lockstep; a single class is the `q = 1` case. Each iteration makes
+//! *one* pass over the stored tensor entries
 //! ([`StochasticTensors::contract_o_multi_into`] /
 //! [`StochasticTensors::contract_r_multi_into`]) and one pass over the
 //! feature walk ([`FeatureWalk::apply_multi_into`]) that serve every class,
@@ -9,15 +11,17 @@
 //! `O(qTD)` cost model leaves on the table when the classes run on separate
 //! threads.
 //!
-//! Bit-exactness contract: for every class the per-iteration summation
-//! order is exactly that of [`solve_class_from`] (entries in storage order,
-//! Kahan-compensated reductions front to back), so the batched solver
-//! reproduces the sequential per-class results **bit for bit** — the
-//! property-based tests assert exact `==`, not a tolerance. Classes whose
-//! residual crosses `epsilon` retire early: their column is swapped to the
-//! back of the active block (column-major storage makes this two slice
-//! swaps) and later iterations no longer touch it, again matching the
-//! per-class solver's early exit.
+//! Bit-exactness contract: a class's result does not depend on which
+//! other classes share its block. Every per-class operation — the
+//! initialization, the kernels' per-column summation order (entries in
+//! storage order, Kahan-compensated reductions front to back), the ICA
+//! refresh and the stopping test — reads only that class's column, so a
+//! class solved inside a batch is **bit for bit** the same class solved
+//! alone (`q = 1`); the tests assert exact `==`, not a tolerance. Classes
+//! whose residual crosses `epsilon` retire early: their column is swapped
+//! to the back of the active block (column-major storage makes this two
+//! slice swaps) and later iterations no longer touch it, exactly as a
+//! `q = 1` solve of that class stops.
 
 use tmark_linalg::vector;
 use tmark_markov::ConvergenceReport;
@@ -25,12 +29,13 @@ use tmark_sparse_tensor::StochasticTensors;
 
 use crate::config::TMarkConfig;
 use crate::restart::{ica_refresh_restart_with, label_restart_into, RestartScratch};
-use crate::solver::{solve_class_from, ClassStationary, FeatureWalk, TRACE_CAP};
+use crate::solver::{ClassStationary, FeatureWalk, TRACE_CAP};
 
-/// Reusable column-major blocks for one batched solve, double-buffered
-/// like [`crate::solver::SolverWorkspace`]: the iteration writes the fresh
+/// Reusable column-major blocks for one batched solve, so that repeated
+/// solves (parameter sweeps, per-class retries) do not reallocate. The
+/// iterates are double-buffered: each iteration writes the fresh
 /// `n × q` / `m × q` blocks and `mem::swap`s them with the current ones,
-/// so the per-iteration loop performs no heap allocation.
+/// so the per-iteration loop performs no heap allocation and no copy-back.
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     xs: Vec<f64>,
@@ -88,7 +93,7 @@ fn swap_columns(block: &mut [f64], a: usize, b: usize, len: usize) {
 
 /// Runs Algorithm 1 for a set of classes in lockstep over shared
 /// column-major blocks. See the module docs for the bit-exactness
-/// contract with [`solve_class_from`].
+/// contract between a batch and its `q = 1` solves.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSolver<'a> {
     stoch: &'a StochasticTensors,
@@ -111,10 +116,20 @@ impl<'a> BatchSolver<'a> {
     /// [`ClassStationary`] per entry, in order.
     ///
     /// `seeds` is indexed by *class id* (as produced by the fit's seed
-    /// grouping); `warm` likewise holds optional warm-start pairs per class
-    /// id and may be empty when every class cold-starts. Each class's
-    /// initialization, iteration, and stopping decision replicate
-    /// [`solve_class_from`] exactly.
+    /// grouping): a class's seeds are its labeled training nodes. An
+    /// empty seed set is tolerated — the class then degenerates to an
+    /// unanchored walk and the caller's prediction relies on the other
+    /// classes.
+    ///
+    /// `warm` likewise holds optional warm-start pairs `(x, z)` per class
+    /// id and may be empty when every class cold-starts. A cold start
+    /// follows the Section 4.3 example: `x₀` is the seed indicator
+    /// distribution (uniform over the network when unseeded) and `z₀` is
+    /// uniform over the `m` link types. With the ICA refresh off the
+    /// fixed point is unique (Theorem 3), so warm starting from a nearby
+    /// solution — e.g. a fit with fewer labeled nodes — changes only the
+    /// iteration count; the refresh makes the answer depend on the
+    /// trajectory.
     pub fn solve(
         &self,
         classes: &[usize],
@@ -139,7 +154,7 @@ impl<'a> BatchSolver<'a> {
         let mut converged = vec![false; q];
         let mut trace_truncated = vec![0usize; q];
 
-        // Per-class initialization, mirroring solve_class_from.
+        // Per-class initialization.
         for p in 0..q {
             let class_seeds = &seeds[classes[p]];
             let rcol = &mut ws.restarts[p * n..(p + 1) * n];
@@ -219,12 +234,12 @@ impl<'a> BatchSolver<'a> {
                 tmark_sparse_tensor::debug_assert_simplex!(
                     xcol,
                     tmark_sparse_tensor::invariants::SIMPLEX_TOL,
-                    "batched Algorithm 1 node iterate x_t"
+                    "Algorithm 1 node iterate x_t"
                 );
                 tmark_sparse_tensor::debug_assert_simplex!(
                     &*zcol,
                     tmark_sparse_tensor::invariants::SIMPLEX_TOL,
-                    "batched Algorithm 1 link-type iterate z_t"
+                    "Algorithm 1 link-type iterate z_t"
                 );
                 let residual = vector::l1_distance(xcol, &ws.xs[p * n..(p + 1) * n])
                     + vector::l1_distance(zcol, &ws.zs[p * m..(p + 1) * m]);
@@ -260,8 +275,7 @@ impl<'a> BatchSolver<'a> {
                 }
             }
         }
-        // Classes that exhausted the budget keep their last iterate, like
-        // the per-class solver.
+        // Classes that exhausted the budget keep their last iterate.
         for (p, &orig) in orig_of.iter().enumerate().take(active) {
             ws.out_xs[orig * n..(orig + 1) * n].copy_from_slice(&ws.xs[p * n..(p + 1) * n]);
             ws.out_zs[orig * m..(orig + 1) * m].copy_from_slice(&ws.zs[p * m..(p + 1) * m]);
@@ -310,25 +324,6 @@ fn assemble(
         .collect()
 }
 
-/// Runs [`solve_class_from`] for one class, translating a solver panic
-/// (e.g. a poisoned iterate tripping a Theorem-1 assertion) into an `Err`
-/// instead of unwinding into the caller. Used by the fit path to attribute
-/// a batch failure to the specific class that caused it.
-pub(crate) fn solve_class_caught(
-    class_id: usize,
-    stoch: &StochasticTensors,
-    w: &FeatureWalk,
-    seeds: &[usize],
-    config: &TMarkConfig,
-    warm: Option<(&[f64], &[f64])>,
-) -> Result<ClassStationary, ()> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut ws = crate::solver::SolverWorkspace::default();
-        solve_class_from(class_id, stoch, w, seeds, config, &mut ws, warm)
-    }))
-    .map_err(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,19 +352,33 @@ mod tests {
         (stoch, w)
     }
 
+    /// Solves class `c` alone: the `q = 1` batch.
+    fn solve_alone(
+        solver: &BatchSolver,
+        c: usize,
+        seeds: &[Vec<usize>],
+        warm: &[Option<(Vec<f64>, Vec<f64>)>],
+    ) -> ClassStationary {
+        let mut ws = BatchWorkspace::default();
+        solver.solve(&[c], seeds, warm, &mut ws).remove(0)
+    }
+
+    /// Every class solved inside one batch is bit for bit the same class
+    /// solved alone.
     fn assert_bitwise_equal_to_sequential(
         stoch: &StochasticTensors,
         w: &FeatureWalk,
         config: &TMarkConfig,
         seeds: &[Vec<usize>],
+        warm: &[Option<(Vec<f64>, Vec<f64>)>],
     ) {
         let classes: Vec<usize> = (0..seeds.len()).collect();
         let solver = BatchSolver::new(stoch, w, *config);
         let mut ws = BatchWorkspace::default();
-        let batched = solver.solve(&classes, seeds, &[], &mut ws);
+        let batched = solver.solve(&classes, seeds, warm, &mut ws);
         for (c, got) in batched.iter().enumerate() {
-            let mut sws = crate::solver::SolverWorkspace::default();
-            let want = crate::solver::solve_class(c, stoch, w, &seeds[c], config, &mut sws);
+            let want = solve_alone(&solver, c, seeds, warm);
+            assert_eq!(got.class_id, want.class_id);
             assert_eq!(got.x, want.x, "class {c} x");
             assert_eq!(got.z, want.z, "class {c} z");
             assert_eq!(got.report, want.report, "class {c} report");
@@ -380,7 +389,7 @@ mod tests {
     fn batch_matches_sequential_bitwise_on_community_network() {
         let (stoch, w) = community_setup();
         let seeds = vec![vec![0], vec![3], vec![1, 4], vec![]];
-        assert_bitwise_equal_to_sequential(&stoch, &w, &TMarkConfig::default(), &seeds);
+        assert_bitwise_equal_to_sequential(&stoch, &w, &TMarkConfig::default(), &seeds, &[]);
     }
 
     #[test]
@@ -392,7 +401,7 @@ mod tests {
             ..Default::default()
         };
         let seeds = vec![vec![0], vec![5]];
-        assert_bitwise_equal_to_sequential(&stoch, &w, &config, &seeds);
+        assert_bitwise_equal_to_sequential(&stoch, &w, &config, &seeds, &[]);
     }
 
     #[test]
@@ -407,41 +416,41 @@ mod tests {
                 ..Default::default()
             };
             let seeds = vec![vec![0], vec![3], vec![2, 5]];
-            assert_bitwise_equal_to_sequential(&stoch, &w, &config, &seeds);
+            assert_bitwise_equal_to_sequential(&stoch, &w, &config, &seeds, &[]);
         }
     }
 
     #[test]
     fn batch_honours_warm_starts_bitwise() {
         let (stoch, w) = community_setup();
-        let config = TMarkConfig {
-            epsilon: 1e-12,
-            ..TMarkConfig::default().tensor_rrcc()
-        };
-        let seeds = vec![vec![0], vec![3]];
-        let classes = vec![0, 1];
-        let solver = BatchSolver::new(&stoch, &w, config);
-        let mut ws = BatchWorkspace::default();
-        let cold = solver.solve(&classes, &seeds, &[], &mut ws);
-        let warm: Vec<Option<(Vec<f64>, Vec<f64>)>> = cold
-            .iter()
-            .map(|o| Some((o.x.clone(), o.z.clone())))
-            .collect();
-        let rewarmed = solver.solve(&classes, &seeds, &warm, &mut ws);
-        for c in 0..2 {
-            let mut sws = crate::solver::SolverWorkspace::default();
-            let want = crate::solver::solve_class_from(
-                c,
-                &stoch,
-                &w,
-                &seeds[c],
-                &config,
-                &mut sws,
-                Some((cold[c].x.as_slice(), cold[c].z.as_slice())),
-            );
-            assert_eq!(rewarmed[c].x, want.x, "class {c} warm x");
-            assert_eq!(rewarmed[c].z, want.z, "class {c} warm z");
-            assert_eq!(rewarmed[c].report, want.report, "class {c} warm report");
+        for config in [
+            TMarkConfig {
+                epsilon: 1e-12,
+                ..TMarkConfig::default().tensor_rrcc()
+            },
+            TMarkConfig {
+                lambda: 0.02,
+                epsilon: 1e-12,
+                ..TMarkConfig::default()
+            },
+        ] {
+            let seeds = vec![vec![0], vec![3], vec![]];
+            let classes = vec![0, 1, 2];
+            let solver = BatchSolver::new(&stoch, &w, config);
+            let mut ws = BatchWorkspace::default();
+            let cold = solver.solve(&classes, &seeds, &[], &mut ws);
+            // Class 2 stays cold: warm and cold classes share one block.
+            let warm: Vec<Option<(Vec<f64>, Vec<f64>)>> = cold
+                .iter()
+                .map(|o| (o.class_id < 2).then(|| (o.x.clone(), o.z.clone())))
+                .collect();
+            let rewarmed = solver.solve(&classes, &seeds, &warm, &mut ws);
+            // With ICA off a converged warm start re-converges at once
+            // (under ICA the restart warm-up pulls it away first).
+            if !config.ica_update {
+                assert!(rewarmed[0].report.iterations < cold[0].report.iterations);
+            }
+            assert_bitwise_equal_to_sequential(&stoch, &w, &config, &seeds, &warm);
         }
     }
 
@@ -455,10 +464,8 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].class_id, 2);
         assert_eq!(out[1].class_id, 0);
-        let mut sws = crate::solver::SolverWorkspace::default();
-        let want =
-            crate::solver::solve_class(2, &stoch, &w, &seeds[2], &TMarkConfig::default(), &mut sws);
-        assert_eq!(out[0].x, want.x);
+        assert_eq!(out[0].x, solve_alone(&solver, 2, &seeds, &[]).x);
+        assert_eq!(out[1].x, solve_alone(&solver, 0, &seeds, &[]).x);
     }
 
     #[test]
@@ -472,22 +479,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.x, y.x);
             assert_eq!(x.z, y.z);
-        }
-    }
-
-    #[test]
-    fn solve_class_caught_reports_panics_as_errors() {
-        let (stoch, _) = community_setup();
-        // Columns sum to 2 — smuggled past the constructor, tripping the
-        // apply-time Theorem-1 assertion in debug builds.
-        let bad = DenseMatrix::from_vec(6, 6, vec![2.0 / 6.0; 36]).unwrap();
-        let w_bad = FeatureWalk::from_dense_unchecked(bad);
-        let config = TMarkConfig::default();
-        let out = solve_class_caught(0, &stoch, &w_bad, &[0], &config, None);
-        if cfg!(debug_assertions) {
-            assert!(out.is_err(), "poisoned walk must surface as Err");
-        } else {
-            assert!(out.is_ok(), "release builds do not assert");
         }
     }
 }

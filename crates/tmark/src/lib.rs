@@ -83,4 +83,4 @@ pub use model::{AnnParams, FeatureWalkMode, FitError, TMarkModel, TMarkResult};
 pub use multirank::{har, multirank, HarResult, MultiRankConfig, MultiRankResult};
 pub use ranking::LinkRanking;
 pub use serving::{ServingError, ServingSession, ServingStats};
-pub use solver::{ClassStationary, SolverWorkspace};
+pub use solver::ClassStationary;

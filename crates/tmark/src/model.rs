@@ -326,39 +326,17 @@ impl TMarkModel {
             let mut ws = crate::batch::BatchWorkspace::default();
             solver.solve(&classes, &seeds, &warm, &mut ws)
         }));
-
-        let mut outputs: Vec<Option<crate::solver::ClassStationary>> =
-            (0..q).map(|_| None).collect();
-        match batch_result {
-            Ok(solved) => {
-                for out in solved {
-                    let c = out.class_id;
-                    outputs[c] = Some(out);
-                }
-            }
-            Err(_) => {
-                // The lockstep batch panicked. Re-run the classes one at a
-                // time to attribute the failure to the poisoned class;
-                // healthy classmates still produce their solutions.
-                for c in 0..q {
-                    let warm_ref = warm[c].as_ref().map(|(x, z)| (x.as_slice(), z.as_slice()));
-                    match crate::batch::solve_class_caught(
-                        c, stoch, &w, &seeds[c], &config, warm_ref,
-                    ) {
-                        Ok(out) => outputs[c] = Some(out),
-                        Err(()) => return Err(FitError::ClassSolveFailed(c)),
-                    }
-                }
-            }
-        }
+        let solved = match batch_result {
+            Ok(solved) => solved,
+            // The lockstep batch panicked: re-solve class by class to
+            // attribute the failure to the poisoned class.
+            Err(_) => solve_each_caught(&solver, &seeds, &warm)?,
+        };
 
         let mut confidences = DenseMatrix::zeros(n, q);
         let mut link_scores = DenseMatrix::zeros(m, q);
         let mut reports = Vec::with_capacity(q);
-        for (c, out) in outputs.into_iter().enumerate() {
-            let Some(out) = out else {
-                return Err(FitError::ClassSolveFailed(c));
-            };
+        for (c, out) in solved.into_iter().enumerate() {
             for (i, &xi) in out.x.iter().enumerate() {
                 confidences.set(i, c, xi);
             }
@@ -375,6 +353,29 @@ impl TMarkModel {
             class_names: hin.labels().class_names().to_vec(),
         })
     }
+}
+
+/// Solves each class alone — the `q = 1` batch — under `catch_unwind`,
+/// translating a solver panic (e.g. a poisoned iterate tripping a
+/// Theorem-1 assertion) into [`FitError::ClassSolveFailed`] for the class
+/// that raised it instead of unwinding into the caller. The fit path's
+/// fallback when the lockstep batch panicked.
+fn solve_each_caught(
+    solver: &crate::batch::BatchSolver,
+    seeds: &[Vec<usize>],
+    warm: &[Option<(Vec<f64>, Vec<f64>)>],
+) -> Result<Vec<crate::solver::ClassStationary>, FitError> {
+    let mut ws = crate::batch::BatchWorkspace::default();
+    (0..seeds.len())
+        .map(|c| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                solver.solve(&[c], seeds, warm, &mut ws)
+            }))
+            .ok()
+            .and_then(|solved| solved.into_iter().next())
+            .ok_or(FitError::ClassSolveFailed(c))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -415,6 +416,36 @@ mod tests {
             b.add_undirected_edge(u, v, 1).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn class_solve_panics_are_attributed_to_the_failing_class() {
+        let hin = two_community_hin();
+        let stoch = hin.stochastic_tensors_ref();
+        let seeds = vec![vec![0], vec![4]];
+        let config = TMarkConfig::default();
+        // A healthy walk: every class solved alone equals the batch.
+        let w = hin.feature_walk(FeatureWalkMode::Dense, SimilarityMetric::Cosine);
+        let solver = crate::batch::BatchSolver::new(stoch, &w, config);
+        let batch = solver.solve(&[0, 1], &seeds, &[], &mut Default::default());
+        let each = solve_each_caught(&solver, &seeds, &[]).unwrap();
+        for (a, b) in batch.iter().zip(&each) {
+            assert_eq!((a.class_id, &a.x, &a.z), (b.class_id, &b.x, &b.z));
+        }
+        // Columns sum to 2 — smuggled past the constructor, tripping the
+        // apply-time Theorem-1 assertion in debug builds.
+        let bad = DenseMatrix::from_vec(8, 8, vec![2.0 / 8.0; 64]).unwrap();
+        let w_bad = crate::solver::FeatureWalk::from_dense_unchecked(bad);
+        let solver = crate::batch::BatchSolver::new(stoch, &w_bad, config);
+        let out = solve_each_caught(&solver, &seeds, &[]);
+        if cfg!(debug_assertions) {
+            assert!(
+                matches!(out, Err(FitError::ClassSolveFailed(0))),
+                "poisoned walk must surface as the first class's error"
+            );
+        } else {
+            assert!(out.is_ok(), "release builds do not assert");
+        }
     }
 
     #[test]

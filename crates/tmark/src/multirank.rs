@@ -63,11 +63,11 @@ pub fn multirank(stoch: &StochasticTensors, config: &MultiRankConfig) -> MultiRa
     let mut iterations = 0;
     for t in 1..=config.max_iterations {
         stoch
-            .contract_o_into(&x, &z, &mut next_x)
+            .contract_o_multi_into(&x, &z, &mut next_x, 1)
             .expect("operand lengths fixed at construction");
         vector::normalize_sum_to_one(&mut next_x);
         stoch
-            .contract_r_into(&next_x, &mut next_z)
+            .contract_r_multi_into(&next_x, &mut next_z, 1)
             .expect("operand lengths fixed at construction");
         vector::normalize_sum_to_one(&mut next_z);
         // The MultiRank map shares Theorem 1's simplex-preservation.
@@ -138,9 +138,10 @@ pub fn har(stoch: &StochasticTensors, config: &MultiRankConfig) -> HarResult {
     let mut trace = Vec::new();
     let mut residual = f64::INFINITY;
     let mut iterations = 0;
+    let mut next_auth = vec![0.0; n];
     for t in 1..=config.max_iterations {
-        let mut next_auth = stoch
-            .contract_o(&hub, &z)
+        stoch
+            .contract_o_multi_into(&hub, &z, &mut next_auth, 1)
             .expect("operand lengths fixed at construction");
         vector::normalize_sum_to_one(&mut next_auth);
         let mut next_hub = stoch
@@ -171,7 +172,7 @@ pub fn har(stoch: &StochasticTensors, config: &MultiRankConfig) -> HarResult {
             + vector::l1_distance(&next_hub, &hub)
             + vector::l1_distance(&next_z, &z);
         trace.push(residual);
-        auth = next_auth;
+        std::mem::swap(&mut auth, &mut next_auth);
         hub = next_hub;
         z = next_z;
         iterations = t;

@@ -8,7 +8,7 @@
 //! dense `W` and the tensor both clear the kernels' internal parallelism
 //! thresholds — at caps > 1 the parallel code paths genuinely execute.
 
-use tmark::solver::{solve_class, solve_class_from, FeatureWalk, SolverWorkspace};
+use tmark::solver::{ClassStationary, FeatureWalk};
 use tmark::{BatchSolver, BatchWorkspace, TMarkConfig, TMarkModel};
 use tmark_feature_walk::feature_transition_matrix;
 use tmark_hin::{Hin, HinBuilder};
@@ -63,6 +63,18 @@ fn ica_config() -> TMarkConfig {
     }
 }
 
+/// Solves class `c` alone: the `q = 1` batch.
+fn solve_alone(
+    solver: &BatchSolver,
+    c: usize,
+    seeds: &[Vec<usize>],
+    warm: &[Option<(Vec<f64>, Vec<f64>)>],
+) -> ClassStationary {
+    solver
+        .solve(&[c], seeds, warm, &mut BatchWorkspace::default())
+        .remove(0)
+}
+
 #[test]
 fn fit_is_bitwise_identical_across_thread_caps() {
     let (hin, train) = big_hin();
@@ -96,7 +108,7 @@ fn fit_is_bitwise_identical_across_thread_caps() {
 }
 
 #[test]
-fn batch_solver_matches_solve_class_at_every_cap() {
+fn batch_solver_matches_single_class_solves_at_every_cap() {
     let (hin, train) = big_hin();
     let stoch = hin.stochastic_tensors();
     let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
@@ -114,15 +126,14 @@ fn batch_solver_matches_solve_class_at_every_cap() {
     let classes: Vec<usize> = (0..q).collect();
     let warm: Vec<Option<(Vec<f64>, Vec<f64>)>> = vec![None; q];
 
+    let solver = BatchSolver::new(&stoch, &w, config);
     pool::set_thread_cap(Some(1));
-    let mut ws = SolverWorkspace::default();
     let serial: Vec<_> = (0..q)
-        .map(|c| solve_class(c, &stoch, &w, &seeds[c], &config, &mut ws))
+        .map(|c| solve_alone(&solver, c, &seeds, &warm))
         .collect();
 
     for cap in CAPS {
         pool::set_thread_cap(Some(cap));
-        let solver = BatchSolver::new(&stoch, &w, config);
         let mut bws = BatchWorkspace::default();
         let batch = solver.solve(&classes, &seeds, &warm, &mut bws);
         for (b, s) in batch.iter().zip(&serial) {
@@ -145,37 +156,21 @@ fn warm_started_solves_are_bitwise_identical_across_caps() {
     let stoch = hin.stochastic_tensors();
     let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
     let config = ica_config();
-    let seeds: Vec<usize> = train
+    let seeds: Vec<Vec<usize>> = vec![train
         .iter()
         .copied()
         .filter(|&v| hin.labels().single_label_of(v) == Some(0))
-        .collect();
+        .collect()];
+    let solver = BatchSolver::new(&stoch, &w, config);
 
     pool::set_thread_cap(Some(1));
-    let mut ws = SolverWorkspace::default();
-    let cold = solve_class(0, &stoch, &w, &seeds, &config, &mut ws);
-    let warm_serial = solve_class_from(
-        0,
-        &stoch,
-        &w,
-        &seeds,
-        &config,
-        &mut ws,
-        Some((&cold.x, &cold.z)),
-    );
+    let cold = solve_alone(&solver, 0, &seeds, &[]);
+    let warm_pair = [Some((cold.x.clone(), cold.z.clone()))];
+    let warm_serial = solve_alone(&solver, 0, &seeds, &warm_pair);
 
     for cap in CAPS {
         pool::set_thread_cap(Some(cap));
-        let mut ws = SolverWorkspace::default();
-        let warm = solve_class_from(
-            0,
-            &stoch,
-            &w,
-            &seeds,
-            &config,
-            &mut ws,
-            Some((&cold.x, &cold.z)),
-        );
+        let warm = solve_alone(&solver, 0, &seeds, &warm_pair);
         assert_eq!(warm.x, warm_serial.x, "warm x diverged at cap {cap}");
         assert_eq!(warm.z, warm_serial.z, "warm z diverged at cap {cap}");
         assert_eq!(

@@ -3,7 +3,7 @@
 //! just the calibrated presets.
 
 use proptest::prelude::*;
-use tmark::solver::{solve_class, FeatureWalk, SolverWorkspace};
+use tmark::solver::FeatureWalk;
 use tmark::{BatchSolver, BatchWorkspace, TMarkConfig, TMarkModel};
 use tmark_feature_walk::feature_transition_matrix;
 use tmark_hin::{Hin, HinBuilder};
@@ -108,8 +108,9 @@ proptest! {
         };
         let stoch = hin.stochastic_tensors();
         let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &train, &config, &mut ws);
+        let out = BatchSolver::new(&stoch, &w, config)
+            .solve(&[0], std::slice::from_ref(&train), &[], &mut BatchWorkspace::default())
+            .remove(0);
         // The cap binds unless the iterate converged *exactly* (bitwise),
         // which tiny graphs do reach.
         prop_assert!(out.report.iterations <= max_iterations);
@@ -140,9 +141,10 @@ proptest! {
         (hin, train) in random_hin(),
         config in valid_config(),
     ) {
-        // The lockstep batch must reproduce every per-class run bit for
-        // bit: identical stationary vectors, link scores, and convergence
-        // reports — on arbitrary networks and parameter settings.
+        // The lockstep batch must reproduce every class solved alone
+        // (q = 1) bit for bit: identical stationary vectors, link scores,
+        // and convergence reports — on arbitrary networks and parameter
+        // settings.
         let q = hin.num_classes();
         let stoch = hin.stochastic_tensors();
         let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
@@ -156,15 +158,12 @@ proptest! {
             })
             .collect();
         let classes: Vec<usize> = (0..q).collect();
-        let batch = BatchSolver::new(&stoch, &w, config).solve(
-            &classes,
-            &seeds,
-            &[],
-            &mut BatchWorkspace::default(),
-        );
+        let solver = BatchSolver::new(&stoch, &w, config);
+        let batch = solver.solve(&classes, &seeds, &[], &mut BatchWorkspace::default());
         for (&c, out) in classes.iter().zip(&batch) {
-            let mut ws = SolverWorkspace::default();
-            let seq = solve_class(c, &stoch, &w, &seeds[c], &config, &mut ws);
+            let seq = solver
+                .solve(&[c], &seeds, &[], &mut BatchWorkspace::default())
+                .remove(0);
             prop_assert_eq!(&out.x, &seq.x, "class {} x diverged", c);
             prop_assert_eq!(&out.z, &seq.z, "class {} z diverged", c);
             prop_assert_eq!(&out.report, &seq.report, "class {} report diverged", c);
